@@ -226,31 +226,44 @@ let print_metrics ~format obs =
 
 let flood (c : common) crashes links source =
   with_graph c (fun g ->
-      let rng = Graph_core.Prng.create ~seed:c.seed in
-      let crashed =
-        Flood.Runner.random_crashes rng ~n:(Graph_core.Graph.n g) ~count:crashes ~avoid:source
+      let n = Graph_core.Graph.n g and m = Graph_core.Graph.m g in
+      let usage msg =
+        prerr_endline ("error: " ^ msg);
+        1
       in
-      let failed_links = Flood.Runner.random_link_failures rng g ~count:links in
-      let obs = Spec.obs c in
-      let env =
-        Spec.to_env ~obs c
-        |> Flood.Env.with_crashed crashed
-        |> Flood.Env.with_failed_links failed_links
-      in
-      let r = Flood.Flooding.run_env ~env ~graph:g ~source () in
-      (match c.metrics with
-      | Some `Json ->
-          (* machine-readable mode: the JSON document is the whole output *)
-          print_metrics ~format:`Json obs
-      | Some `Text | None ->
-          Printf.printf "flooded %s(n=%d, k=%d) from node %d with %d crashes, %d link failures\n"
-            c.topology c.n c.k source crashes links;
-          Printf.printf "  messages sent:      %d\n" r.Flood.Flooding.messages_sent;
-          Printf.printf "  rounds (max hops):  %d\n" r.Flood.Flooding.max_hops;
-          Printf.printf "  completion time:    %.2f\n" r.Flood.Flooding.completion_time;
-          Printf.printf "  covered survivors:  %b\n" r.Flood.Flooding.covers_all_alive;
-          if c.metrics = Some `Text then print_metrics ~format:`Text obs);
-      if r.Flood.Flooding.covers_all_alive then 0 else 1)
+      (* the Runner samplers raise on these; reject them as usage errors *)
+      if source < 0 || source >= n then usage (Printf.sprintf "--source must be >= 0 and < n = %d" n)
+      else if crashes < 0 || crashes >= n then
+        usage (Printf.sprintf "--crashes must be >= 0 and < n = %d" n)
+      else if links < 0 || links > m then
+        usage (Printf.sprintf "--link-failures must be >= 0 and <= the edge count %d" m)
+      else begin
+        let rng = Graph_core.Prng.create ~seed:c.seed in
+        let crashed =
+          Flood.Runner.random_crashes rng ~n ~count:crashes ~avoid:source
+        in
+        let failed_links = Flood.Runner.random_link_failures rng g ~count:links in
+        let obs = Spec.obs c in
+        let env =
+          Spec.to_env ~obs c
+          |> Flood.Env.with_crashed crashed
+          |> Flood.Env.with_failed_links failed_links
+        in
+        let r = Flood.Flooding.run_env ~env ~graph:g ~source () in
+        (match c.metrics with
+        | Some `Json ->
+            (* machine-readable mode: the JSON document is the whole output *)
+            print_metrics ~format:`Json obs
+        | Some `Text | None ->
+            Printf.printf "flooded %s(n=%d, k=%d) from node %d with %d crashes, %d link failures\n"
+              c.topology c.n c.k source crashes links;
+            Printf.printf "  messages sent:      %d\n" r.Flood.Flooding.messages_sent;
+            Printf.printf "  rounds (max hops):  %d\n" r.Flood.Flooding.max_hops;
+            Printf.printf "  completion time:    %.2f\n" r.Flood.Flooding.completion_time;
+            Printf.printf "  covered survivors:  %b\n" r.Flood.Flooding.covers_all_alive;
+            if c.metrics = Some `Text then print_metrics ~format:`Text obs);
+        if r.Flood.Flooding.covers_all_alive then 0 else 1
+      end)
 
 let flood_cmd =
   let crashes =

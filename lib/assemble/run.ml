@@ -128,10 +128,7 @@ let run ~env ?plan ?(params = default_params) ?(certify = false) ~construction ~
   | None -> ());
   let seed = Env.seed_value env in
   let sim = Env.sim_of env in
-  let net : int Network.t = Env.network_of_csr env ~sim ~csr in
-  List.iter (fun v -> Network.crash net v) env.Env.crashed;
-  List.iter (fun (u, v) -> Network.fail_link net u v) env.Env.failed_links;
-  (match env.Env.prepare with Some { Env.prepare } -> prepare net | None -> ());
+  let net = Env.network_of_csr env ~sim ~csr in
   (match plan with Some p -> Chaos.Exec.install net p | None -> ());
   let pool = View.Pool.create () in
   let pushes = ref 0
@@ -198,7 +195,7 @@ let run ~env ?plan ?(params = default_params) ?(certify = false) ~construction ~
     | Wire.Link_req -> incr link_reqs
     | Wire.Link_ack -> incr link_acks
     | Wire.Link_nack -> incr link_nacks);
-    Network.send_int net ~src:nd.id ~dst ~eidx:(Wire.eidx ~n nd.id dst) (Wire.pack tag nd.vref)
+    Network.send_eidx net ~src:nd.id ~dst ~eidx:(Wire.eidx ~n nd.id dst) (Wire.pack tag nd.vref)
   in
   let tindex nd src =
     let rec go i =
@@ -307,7 +304,7 @@ let run ~env ?plan ?(params = default_params) ?(certify = false) ~construction ~
       send nd nd.targets.(i) Wire.Link_req
     end
   in
-  Network.set_int_receiver net (fun ~dst ~src payload ->
+  Network.set_receiver net (fun ~dst ~src payload ->
       let nd = nodes.(dst) in
       let tag, vref = Wire.unpack payload in
       match tag with

@@ -7,7 +7,7 @@
     node can already address every other (the IP layer of the story).
     That underlay is modelled as a complete graph frozen into a
     {!Graph_core.Csr} — which makes every protocol message a plain
-    {!Netsim.Network.send_int} on the int payload plane, with the CSR
+    {!Netsim.Network.send_eidx} of one int word, with the CSR
     edge slot computed arithmetically ({!eidx}) instead of searched.
     Overlay links are protocol state, not substrate edges: the
     realized topology is collected from node state after the run.

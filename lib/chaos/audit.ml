@@ -44,17 +44,9 @@ end)
 let norm_link (u, v) = if u <= v then (u, v) else (v, u)
 
 (* env's own hook (if any) first, then the plan's *)
-let compose_prepare (base : Env.prepare option) plan : Env.prepare =
-  let plan_hook = Exec.prepare_hook plan in
-  match base with
-  | None -> plan_hook
-  | Some first ->
-      {
-        prepare =
-          (fun net ->
-            first.prepare net;
-            plan_hook.prepare net);
-      }
+let compose_prepare (base : Env.prepare option) plan net =
+  Option.iter (fun first -> first net) base;
+  Exec.install net plan
 
 let run_one ~env ~graph ~source ~csr ~static_crashed ~static_links ~seed ~obs ~index plan =
   let crashed_all =

@@ -17,4 +17,4 @@ let install net plan =
     (fun { Plan.at; event } -> Sim.schedule_at sim ~time:at (fun () -> apply net event))
     (Plan.events plan)
 
-let prepare_hook plan = { Flood.Env.prepare = (fun net -> install net plan) }
+let prepare_hook plan net = install net plan

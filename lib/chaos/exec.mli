@@ -6,11 +6,11 @@
     interleaved with the protocol's own messages, and every fault and
     heal is emitted as an {!Obs.Registry} span event by the network
     layer. {!prepare_hook} packages that as a {!Flood.Env.prepare}, the
-    polymorphic hook every [run_env] protocol entry point honours —
-    which is how {!Audit} injects chaos into protocols that know
-    nothing about plans. *)
+    hook every [run_env] protocol entry point honours — which is how
+    {!Audit} injects chaos into protocols that know nothing about
+    plans. *)
 
-val install : 'msg Netsim.Network.t -> Plan.t -> unit
+val install : Netsim.Network.t -> Plan.t -> unit
 (** Schedule every event of the plan at its absolute virtual time on
     the network's simulator. [Partition] is expanded against the
     network's frozen topology snapshot at fire time; crash/recover and
@@ -21,5 +21,5 @@ val install : 'msg Netsim.Network.t -> Plan.t -> unit
     structurally invalid for the topology — {!Plan.validate} first. *)
 
 val prepare_hook : Plan.t -> Flood.Env.prepare
-(** [{ prepare = fun net -> install net plan }] — thread through
+(** [fun net -> install net plan] — thread through
     {!Flood.Env.with_prepare}. *)

@@ -1,4 +1,4 @@
-type prepare = { prepare : 'msg. 'msg Netsim.Network.t -> unit }
+type prepare = Netsim.Network.t -> unit
 
 type t = {
   latency : Netsim.Network.latency option;
@@ -98,15 +98,27 @@ let seed_value t = match t.seed with Some s -> s | None -> default_seed
 (* The one place the environment is lowered onto a simulator + network
    pair: every protocol's [run_env] goes through here, so a new Env
    knob (capacity, queue policy, …) reaches all run surfaces at once
-   instead of being re-threaded call site by call site. *)
+   instead of being re-threaded call site by call site. The static
+   faults and the prepare hook are applied here too, so no protocol
+   repeats that preamble. *)
 let sim_of t = Netsim.Sim.create ?seed:t.seed ?engine:t.engine ~obs:t.obs ()
 
+let inject t net =
+  List.iter (fun v -> Netsim.Network.crash net v) t.crashed;
+  List.iter (fun (u, v) -> Netsim.Network.fail_link net u v) t.failed_links;
+  (match t.prepare with Some prepare -> prepare net | None -> ());
+  net
+
 let network_of_graph t ~sim ~graph =
-  Netsim.Network.create ~sim ~graph ?latency:t.latency ~loss_rate:t.loss_rate
-    ~processing_delay:t.processing_delay ?link_capacity:t.link_capacity ?queue_cap:t.queue_cap
-    ?queue_policy:t.queue_policy ~bands:t.bands ?trace:t.trace ~obs:t.obs ()
+  inject t
+    (Netsim.Network.create ~sim ~graph ?latency:t.latency ~loss_rate:t.loss_rate
+       ~processing_delay:t.processing_delay ?link_capacity:t.link_capacity
+       ?queue_cap:t.queue_cap ?queue_policy:t.queue_policy ~bands:t.bands ?trace:t.trace
+       ~obs:t.obs ())
 
 let network_of_csr t ~sim ~csr =
-  Netsim.Network.create_csr ~sim ~csr ?latency:t.latency ~loss_rate:t.loss_rate
-    ~processing_delay:t.processing_delay ?link_capacity:t.link_capacity ?queue_cap:t.queue_cap
-    ?queue_policy:t.queue_policy ~bands:t.bands ?trace:t.trace ~obs:t.obs ()
+  inject t
+    (Netsim.Network.create_csr ~sim ~csr ?latency:t.latency ~loss_rate:t.loss_rate
+       ~processing_delay:t.processing_delay ?link_capacity:t.link_capacity
+       ?queue_cap:t.queue_cap ?queue_policy:t.queue_policy ~bands:t.bands ?trace:t.trace
+       ~obs:t.obs ())

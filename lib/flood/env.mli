@@ -33,12 +33,11 @@
     [loss_rate] because its echo accounting assumes reliable
     channels). *)
 
-type prepare = { prepare : 'msg. 'msg Netsim.Network.t -> unit }
+type prepare = Netsim.Network.t -> unit
 (** A hook run against the freshly created network — after static
     [crashed]/[failed_links] injection, before the protocol's first
-    send. Polymorphic in the payload so one hook serves every protocol;
-    {!Chaos.Exec} uses it to schedule a fault plan's timeline on the
-    run's simulator. *)
+    send. {!Chaos.Exec} uses it to schedule a fault plan's timeline on
+    the run's simulator. *)
 
 type t = {
   latency : Netsim.Network.latency option;
@@ -147,12 +146,15 @@ val sim_of : t -> Netsim.Sim.t
 (** A fresh simulator configured from the environment (seed, engine,
     registry). *)
 
-val network_of_graph : t -> sim:Netsim.Sim.t -> graph:Graph_core.Graph.t -> 'msg Netsim.Network.t
+val network_of_graph : t -> sim:Netsim.Sim.t -> graph:Graph_core.Graph.t -> Netsim.Network.t
 
-val network_of_csr : t -> sim:Netsim.Sim.t -> csr:Graph_core.Csr.t -> 'msg Netsim.Network.t
+val network_of_csr : t -> sim:Netsim.Sim.t -> csr:Graph_core.Csr.t -> Netsim.Network.t
 (** Lower the environment onto a network: latency, loss, processing
     delay, link capacity/queueing, trace and registry all applied in
-    one place. Every protocol's [run_env] builds its network through
-    these, which is what makes the Env record the {e single} workload
-    surface — a knob added here reaches flooding, gossip, PIF,
-    reliable broadcast and the traffic driver identically. *)
+    one place, then the static faults — every [crashed] node crashed,
+    every [failed_links] link failed, in list order — and finally the
+    [prepare] hook. Every protocol's [run_env] builds its network
+    through these, which is what makes the Env record the {e single}
+    workload surface — a knob added here reaches flooding, gossip, PIF,
+    reliable broadcast, the traffic driver and self-assembly
+    identically. *)

@@ -17,27 +17,27 @@ type result = {
 (* the payload is the bare hop count: together with the pooled event
    core underneath, one flooded message costs zero allocation *)
 
-let flood_core ~env ~sim ~(net : int Network.t) ~n ~source =
-  if List.mem source env.Env.crashed then invalid_arg "Flood.run: source is crashed";
+let check_source ~env ~n ~source =
+  if source < 0 || source >= n then invalid_arg "Flood.run: source out of range";
+  if List.mem source env.Env.crashed then invalid_arg "Flood.run: source is crashed"
+
+let flood_core ~env ~sim ~net ~n ~source =
   let obs = env.Env.obs in
-  List.iter (fun v -> Network.crash net v) env.Env.crashed;
-  List.iter (fun (u, v) -> Network.fail_link net u v) env.Env.failed_links;
-  (match env.Env.prepare with Some { Env.prepare } -> prepare net | None -> ());
   let delivered = Array.make n false in
   let delivery_time = Array.make n (-1.0) in
   let hops = Array.make n (-1) in
   (* [dst] is always in range — it came off the network's own CSR row *)
-  Network.set_int_receiver net (fun ~dst ~src hop ->
+  Network.set_receiver net (fun ~dst ~src hop ->
       if not (Array.unsafe_get delivered dst) then begin
         Array.unsafe_set delivered dst true;
         Array.unsafe_set delivery_time dst (Sim.now sim);
         Array.unsafe_set hops dst hop;
-        Network.send_neighbors_int net ~except:src ~src:dst (hop + 1)
+        Network.send_neighbors net ~except:src ~src:dst (hop + 1)
       end);
   delivered.(source) <- true;
   delivery_time.(source) <- 0.0;
   hops.(source) <- 0;
-  Network.send_neighbors_int net ~src:source ~except:(-1) 1;
+  Network.send_neighbors net ~src:source ~except:(-1) 1;
   Sim.run sim;
   let completion_time = Array.fold_left max 0.0 delivery_time in
   let max_hops = Array.fold_left max 0 hops in
@@ -96,14 +96,14 @@ let flood_core ~env ~sim ~(net : int Network.t) ~n ~source =
 
 let run_env ~env ~graph ~source () =
   let n = Graph.n graph in
-  if source < 0 || source >= n then invalid_arg "Flood.run: source out of range";
+  check_source ~env ~n ~source;
   let sim = Env.sim_of env in
   let net = Env.network_of_graph env ~sim ~graph in
   flood_core ~env ~sim ~net ~n ~source
 
 let run_csr_env ~env ~csr ~source () =
   let n = Csr.n csr in
-  if source < 0 || source >= n then invalid_arg "Flood.run: source out of range";
+  check_source ~env ~n ~source;
   let sim = Env.sim_of env in
   let net = Env.network_of_csr env ~sim ~csr in
   flood_core ~env ~sim ~net ~n ~source

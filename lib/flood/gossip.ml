@@ -10,8 +10,6 @@ type result = {
   coverage_of_alive : float;
 }
 
-type payload = { ttl : int }
-
 let default_ttl ~n =
   if n <= 1 then 1 else int_of_float (ceil (log (float_of_int n) /. log 2.0)) + 4
 
@@ -25,9 +23,6 @@ let run_env ~env ~graph ~source ~fanout ~ttl () =
   if List.mem source crashed then invalid_arg "Gossip.run: source is crashed";
   let sim = Env.sim_of env in
   let net = Env.network_of_graph env ~sim ~graph in
-  List.iter (fun v -> Network.crash net v) crashed;
-  List.iter (fun (u, v) -> Network.fail_link net u v) env.Env.failed_links;
-  (match env.Env.prepare with Some { Env.prepare } -> prepare net | None -> ());
   let rng = Sim.fork_rng sim in
   let delivered = Array.make n false in
   let delivery_time = Array.make n (-1.0) in
@@ -38,14 +33,15 @@ let run_env ~env ~graph ~source ~fanout ~ttl () =
     if deg > 0 then begin
       let picks = min fanout deg in
       let chosen = Prng.sample_without_replacement rng ~k:picks ~n:deg in
-      List.iter (fun i -> Network.send net ~src:v ~dst:nbr.(off.(v) + i) { ttl }) chosen
+      List.iter (fun i -> Network.send net ~src:v ~dst:nbr.(off.(v) + i) ttl) chosen
     end
   in
-  Network.set_receiver net (fun ~dst ~src:_ msg ->
+  (* the message is the copy's remaining TTL *)
+  Network.set_receiver net (fun ~dst ~src:_ ttl ->
       if not delivered.(dst) then begin
         delivered.(dst) <- true;
         delivery_time.(dst) <- Sim.now sim;
-        if msg.ttl > 1 then push dst ~ttl:(msg.ttl - 1)
+        if ttl > 1 then push dst ~ttl:(ttl - 1)
       end);
   delivered.(source) <- true;
   delivery_time.(source) <- 0.0;

@@ -12,10 +12,18 @@ type result = {
   repair_messages_at_completion : int option;
 }
 
-type message =
-  | Flood of { id : int; hop : int }
-  | Digest of int list  (** payload ids the sender holds *)
-  | Data of int
+(* Wire word: a 2-bit tag over an index. [Flood] and [Data] carry the
+   publication's index in [publications]; [Digest] carries the index of
+   a snapshot of the payload ids its sender held at send time, kept in
+   a run-local table because the sender's holdings may grow while the
+   digest is in flight. *)
+let tag_flood = 0
+
+let tag_digest = 1
+
+let tag_data = 2
+
+let wire tag i = (i lsl 2) lor tag
 
 let run_env ~env ~graph ~publications ~anti_entropy_period ~duration () =
   if anti_entropy_period <= 0.0 then invalid_arg "Reliable.run: non-positive period";
@@ -37,12 +45,10 @@ let run_env ~env ~graph ~publications ~anti_entropy_period ~duration () =
   let net = Env.network_of_graph env ~sim ~graph in
   let m_flood = Obs.Registry.counter obs "reliable.flood_messages" in
   let m_repair = Obs.Registry.counter obs "reliable.repair_messages" in
-  List.iter (fun v -> Network.crash net v) crashed;
-  List.iter (fun (u, v) -> Network.fail_link net u v) env.Env.failed_links;
-  (match env.Env.prepare with Some { Env.prepare } -> prepare net | None -> ());
   let rng = Sim.fork_rng sim in
-  let payload_count = List.length publications in
-  (* has.(v) maps payload id -> unit for node v *)
+  let pubs = Array.of_list publications in
+  let payload_count = Array.length pubs in
+  (* has.(v) maps payload id -> publication index for node v *)
   let has = Array.init n (fun _ -> Hashtbl.create 8) in
   let alive = Network.alive_mask net in
   let alive_count = Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 alive in
@@ -50,26 +56,33 @@ let run_env ~env ~graph ~publications ~anti_entropy_period ~duration () =
   let completion_time = ref None in
   let flood_messages = ref 0 and repair_messages = ref 0 in
   let repair_at_completion = ref None in
-  let holds v id = Hashtbl.mem has.(v) id in
-  let send_flood ~src ~dst id hop =
+  let digests = Hashtbl.create 64 and next_digest = ref 0 in
+  let send_flood ~src ~dst i =
     incr flood_messages;
     Obs.Registry.incr m_flood;
-    Network.send net ~src ~dst (Flood { id; hop })
+    Network.send net ~src ~dst (wire tag_flood i)
   in
-  let send_repair ~src ~dst msg =
+  (* a [Data] repair is a retransmission of the payload proper;
+     digests are control traffic *)
+  let send_data ~src ~dst i =
     incr repair_messages;
     Obs.Registry.incr m_repair;
-    (* a [Data] repair is a retransmission of the payload proper;
-       digests are control traffic *)
-    (match msg with
-    | Data id -> Obs.Registry.event obs Obs.Registry.Retransmit ~node:src ~info:id
-    | Flood _ | Digest _ -> ());
-    Network.send net ~src ~dst msg
+    Obs.Registry.event obs Obs.Registry.Retransmit ~node:src ~info:pubs.(i).Multi.payload_id;
+    Network.send net ~src ~dst (wire tag_data i)
   in
-  let record v id =
-    if holds v id then false
+  let send_digest ~src ~dst ids =
+    incr repair_messages;
+    Obs.Registry.incr m_repair;
+    let d = !next_digest in
+    incr next_digest;
+    Hashtbl.replace digests d ids;
+    Network.send net ~src ~dst (wire tag_digest d)
+  in
+  let record v i =
+    let id = pubs.(i).Multi.payload_id in
+    if Hashtbl.mem has.(v) id then false
     else begin
-      Hashtbl.replace has.(v) id ();
+      Hashtbl.replace has.(v) id i;
       if alive.(v) then begin
         decr remaining;
         if !remaining = 0 && !completion_time = None then begin
@@ -81,28 +94,28 @@ let run_env ~env ~graph ~publications ~anti_entropy_period ~duration () =
     end
   in
   let csr = Network.csr net in
-  let forward v ~except ~id ~hop =
-    Graph_core.Csr.iter_neighbors csr v (fun w ->
-        if w <> except then send_flood ~src:v ~dst:w id hop)
+  let forward v ~except i =
+    Graph_core.Csr.iter_neighbors csr v (fun w -> if w <> except then send_flood ~src:v ~dst:w i)
   in
-  Network.set_receiver net (fun ~dst ~src msg ->
-      match msg with
-      | Flood { id; hop } -> if record dst id then forward dst ~except:src ~id ~hop:(hop + 1)
-      | Digest sender_ids ->
-          (* push back everything the sender is missing *)
-          Hashtbl.iter
-            (fun id () -> if not (List.mem id sender_ids) then send_repair ~src:dst ~dst:src (Data id))
-            has.(dst)
-      | Data id -> if record dst id then forward dst ~except:src ~id ~hop:1);
+  Network.set_receiver net (fun ~dst ~src word ->
+      let tag = word land 3 and i = word lsr 2 in
+      if tag = tag_digest then begin
+        let sender_ids = Hashtbl.find digests i in
+        Hashtbl.remove digests i;
+        (* push back everything the sender is missing *)
+        Hashtbl.iter
+          (fun id j -> if not (List.mem id sender_ids) then send_data ~src:dst ~dst:src j)
+          has.(dst)
+      end
+      else if record dst i then forward dst ~except:src i);
   (* flooding phase: inject publications *)
-  List.iter
-    (fun (p : Multi.publication) ->
+  Array.iteri
+    (fun i (p : Multi.publication) ->
       Sim.schedule_at sim ~time:p.Multi.inject_time (fun () ->
-          if record p.Multi.origin p.Multi.payload_id then
-            forward p.Multi.origin ~except:(-1) ~id:p.Multi.payload_id ~hop:1))
-    publications;
+          if record p.Multi.origin i then forward p.Multi.origin ~except:(-1) i))
+    pubs;
   (* anti-entropy timers, phase-shifted per node *)
-  let digest_of v = Hashtbl.fold (fun id () acc -> id :: acc) has.(v) [] in
+  let digest_of v = Hashtbl.fold (fun id _ acc -> id :: acc) has.(v) [] in
   (* the timer survives crash windows (sends are skipped while the
      node is down) so a node a chaos plan recovers resumes advertising
      its digest and gets repaired *)
@@ -113,7 +126,7 @@ let run_env ~env ~graph ~publications ~anti_entropy_period ~duration () =
          if deg > 0 then begin
            let off = Graph_core.Csr.offsets csr and nbr = Graph_core.Csr.neighbor_array csr in
            let peer = nbr.(off.(v) + Prng.int rng deg) in
-           send_repair ~src:v ~dst:peer (Digest (digest_of v))
+           send_digest ~src:v ~dst:peer (digest_of v)
          end);
       Sim.schedule sim ~delay:anti_entropy_period (tick v)
     end

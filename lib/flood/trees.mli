@@ -1,5 +1,5 @@
-(** Spanning-tree broadcast with flood fallback, on the int payload
-    plane.
+(** Spanning-tree broadcast with flood fallback: the forwarding rule
+    {!Traffic.Driver} stripes a chunk stream with.
 
     Where flooding pushes every chunk over every edge (O(2m) messages),
     tree dissemination forwards a chunk only down one packed spanning
@@ -20,15 +20,6 @@
     fault pattern that keeps the alive graph connected thus degrades to
     the flood bound instead of losing the subtree. *)
 
-type result = {
-  delivered : bool array;
-  messages_sent : int;  (** n−1 on a clean run; flood-bounded after fallbacks *)
-  fallbacks : int;  (** escalations to flood mode (0 = pure tree routing) *)
-  tree_count : int;  (** trees in the packing used *)
-  completion_time : float;
-  coverage_of_alive : float;
-}
-
 val encode : chunk:int -> flood:bool -> int
 (** Pack a chunk id and the escalation flag into one payload word:
     [(chunk lsl 1) lor flood]. *)
@@ -38,7 +29,7 @@ val chunk_of : int -> int
 val is_flood : int -> bool
 
 val forward :
-  net:int Netsim.Network.t ->
+  net:Netsim.Network.t ->
   pack:Graph_core.Tree_pack.t ->
   tree:int ->
   node:int ->
@@ -49,21 +40,4 @@ val forward :
     [tree], or — if any child link is unusable right now — escalate to
     a flood burst to all neighbours except [parent] ([-1] at the
     source). Returns the number of escalations (0 or 1). The building
-    block {!Traffic.Driver} stripes with; {!run_env} wraps it for a
-    single broadcast. *)
-
-val run_env :
-  env:Env.t ->
-  csr:Graph_core.Csr.t ->
-  source:int ->
-  ?count:int ->
-  ?tree:int ->
-  ?pack:Graph_core.Tree_pack.t ->
-  unit ->
-  result
-(** Broadcast one chunk from [source] down tree [?tree] (default 0) of
-    a [?count]-tree packing (default {!Graph_core.Tree_pack.default_count}),
-    under the environment's faults, capacity and engine. [?pack] reuses
-    a precomputed packing (must be rooted at [source]).
-    @raise Invalid_argument if [source] is out of range or crashed, the
-    pack is for another source, or [tree] is out of range. *)
+    block {!Traffic.Driver} stripes with. *)

@@ -25,31 +25,27 @@ type stats = {
   dropped_queue : int;
 }
 
-(* In-flight messages ride the Sim event pool as packed ints; the
-   ['msg] itself and its trace seq are parked in a recycled slot store,
-   with the slot id as the event payload. Event tags encode the
+(* In-flight messages ride the Sim event pool as packed ints, the
+   message itself in the event's payload word. Event tags encode the
    delivery phase: [tag_arrival] fires when the link latency has
    elapsed, [tag_deliver] when a positive processing delay has also
-   elapsed. Like the Sim pool, the slot store is chunked — growth never
-   copies or frees, so backlog memory is touched exactly once. *)
+   elapsed.
+
+   With a trace attached, a message must also carry its trace seq to
+   the delivery side, so the payload word holds a slot id into a
+   recycled int store of (msg, seq) pairs instead. The store is only
+   ever touched (and so only ever allocated) when tracing; like the Sim
+   pool it is chunked — growth never copies or frees, so backlog memory
+   is touched exactly once. *)
 let tag_arrival = 0
 
 let tag_deliver = 1
 
-(* The int plane: an [int t]'s message can ride the event payload word
-   itself, skipping the slot store round trip. Only reachable through
-   [send_neighbors_int], which the interface restricts to [int t], and
-   only taken when tracing is off (the slot store is what parks a
-   message's trace seq). *)
-let tag_int_arrival = 2
-
-let tag_int_deliver = 3
-
 (* Priority bands: with [bands > 1] the sending band rides the event
-   payload word above the slot id / int message, so the delivery side
-   can account per band. Sim packs [payload lsl 2 | tag] into one OCaml
-   int, leaving 61 bits — band bits 58..59 keep every slot id and every
-   int-plane message (< 2^58 by contract) intact. Single-band networks
+   payload word above the message (or trace slot id), so the delivery
+   side can account per band. Sim packs [payload lsl 2 | tag] into one
+   OCaml int, leaving 61 bits — band bits 58..59 keep every slot id and
+   every message (< 2^58 by contract) intact. Single-band networks
    never encode, so their payload words — and hence their executions —
    are bit-identical to the pre-band engine. *)
 let band_shift = 58
@@ -64,7 +60,7 @@ let chunk_len = 1 lsl chunk_bits
 
 let chunk_mask = chunk_len - 1
 
-type 'msg t = {
+type t = {
   sim : Sim.t;
   graph : Graph.t option;  (** only when built from a mutable graph *)
   csr : Csr.t;  (** topology frozen at creation; every send checks it *)
@@ -110,12 +106,12 @@ type 'msg t = {
           of which nodes a fault plan ever took down *)
   failed_links : (int * int, unit) Hashtbl.t;
   mutable failed_count : int;  (** = Hashtbl.length failed_links, kept for the send fast path *)
-  tracing : bool;  (** trace <> None — gates the per-slot seq bookkeeping *)
-  mutable receiver : dst:int -> src:int -> 'msg -> unit;
-  mutable int_receiver : dst:int -> src:int -> int -> unit;
-      (** the int plane's sink — only installed on [int t] networks *)
-  mutable slots : 'msg array array;
-  mutable slot_seq : int array array;
+  tracing : bool;  (** trace <> None — payload words are trace slot ids *)
+  mutable receiver : dst:int -> src:int -> int -> unit;
+  mutable slots : int array array;
+      (** trace slot store: slot [s] holds its message at
+          [2 * (s land chunk_mask)] of chunk [s lsr chunk_bits], its
+          trace seq one word later *)
   mutable slot_nchunks : int;
   mutable slot_free : int array array;
   mutable slot_free_top : int;
@@ -138,20 +134,17 @@ type 'msg t = {
   h_link_queue : Obs.Registry.histogram;
 }
 
-(* -- payload slot store ------------------------------------------------- *)
+(* -- trace slot store --------------------------------------------------- *)
 
-(* only reached with an empty free list; [msg] doubles as the new
-   chunk's fill element so no dummy ['msg] is ever needed *)
-let add_slot_chunk t msg =
+(* only reached with an empty free list *)
+let add_slot_chunk t =
   let c = t.slot_nchunks in
   if c = Array.length t.slots then begin
     let spine a = Array.append a (Array.make (max 8 c) [||]) in
     t.slots <- spine t.slots;
-    t.slot_seq <- spine t.slot_seq;
     t.slot_free <- spine t.slot_free
   end;
-  t.slots.(c) <- Array.make chunk_len msg;
-  t.slot_seq.(c) <- (if t.tracing then Array.make chunk_len 0 else [||]);
+  t.slots.(c) <- Array.make (2 * chunk_len) 0;
   t.slot_free.(c) <- Array.make chunk_len 0;
   t.slot_nchunks <- c + 1;
   (* empty free list: the fresh ids occupy stack positions
@@ -165,16 +158,19 @@ let add_slot_chunk t msg =
   t.slot_free_top <- chunk_len
 
 let alloc_slot t msg seq =
-  if t.slot_free_top = 0 then add_slot_chunk t msg;
+  if t.slot_free_top = 0 then add_slot_chunk t;
   let p = t.slot_free_top - 1 in
   t.slot_free_top <- p;
-  let s =
-    Array.unsafe_get (Array.unsafe_get t.slot_free (p lsr chunk_bits)) (p land chunk_mask)
-  in
-  Array.unsafe_set (Array.unsafe_get t.slots (s lsr chunk_bits)) (s land chunk_mask) msg;
-  if t.tracing then
-    Array.unsafe_set (Array.unsafe_get t.slot_seq (s lsr chunk_bits)) (s land chunk_mask) seq;
+  let s = t.slot_free.(p lsr chunk_bits).(p land chunk_mask) in
+  let chunk = t.slots.(s lsr chunk_bits) and i = 2 * (s land chunk_mask) in
+  chunk.(i) <- msg;
+  chunk.(i + 1) <- seq;
   s
+
+let free_slot t s =
+  let p = t.slot_free_top in
+  t.slot_free.(p lsr chunk_bits).(p land chunk_mask) <- s;
+  t.slot_free_top <- p + 1
 
 (* -- delivery sink ------------------------------------------------------ *)
 
@@ -183,19 +179,17 @@ let emit t kind ~src ~dst ~seq =
   | None -> ()
   | Some tr -> Trace.record tr { Trace.time = Sim.now t.sim; kind; src; dst; seq }
 
-let deliver t ~src ~dst slot =
-  let band, slot =
-    if t.bands > 1 then (slot lsr band_shift, slot land band_payload_mask) else (0, slot)
+let deliver t ~src ~dst word =
+  let band, word =
+    if t.bands > 1 then (word lsr band_shift, word land band_payload_mask) else (0, word)
   in
-  let msg = Array.unsafe_get (Array.unsafe_get t.slots (slot lsr chunk_bits)) (slot land chunk_mask) in
-  let seq =
-    if t.tracing then
-      Array.unsafe_get (Array.unsafe_get t.slot_seq (slot lsr chunk_bits)) (slot land chunk_mask)
-    else 0
-  in
-  let p = t.slot_free_top in
-  Array.unsafe_set (Array.unsafe_get t.slot_free (p lsr chunk_bits)) (p land chunk_mask) slot;
-  t.slot_free_top <- p + 1;
+  (* untraced, the word is the message itself; traced, it is the slot
+     parking the (msg, seq) pair *)
+  let chunk = if t.tracing then t.slots.(word lsr chunk_bits) else [||] in
+  let i = 2 * (word land chunk_mask) in
+  let msg = if t.tracing then chunk.(i) else word in
+  let seq = if t.tracing then chunk.(i + 1) else 0 in
+  if t.tracing then free_slot t word;
   (* [dst] came off a CSR row, so it is in range *)
   if Array.unsafe_get t.crashed dst then begin
     t.dropped_crash <- t.dropped_crash + 1;
@@ -211,24 +205,6 @@ let deliver t ~src ~dst slot =
     t.receiver ~dst ~src msg
   end
 
-(* same accounting as [deliver], minus the slot round trip; never
-   reached with tracing on, so no seq and no emits *)
-let deliver_int t ~src ~dst hop =
-  let band, hop =
-    if t.bands > 1 then (hop lsr band_shift, hop land band_payload_mask) else (0, hop)
-  in
-  if Array.unsafe_get t.crashed dst then begin
-    t.dropped_crash <- t.dropped_crash + 1;
-    if t.bands > 1 then t.b_dropped_crash.(band) <- t.b_dropped_crash.(band) + 1;
-    Obs.Registry.incr t.m_dropped_crash
-  end
-  else begin
-    t.delivered <- t.delivered + 1;
-    if t.bands > 1 then t.b_delivered.(band) <- t.b_delivered.(band) + 1;
-    if t.obs_on then Obs.Registry.incr t.m_delivered;
-    t.int_receiver ~dst ~src hop
-  end
-
 (* FIFO receiver queue: one message per processing_delay *)
 let queue_processing t ~src ~dst ~tag ~payload =
   let now = Sim.now t.sim in
@@ -240,12 +216,7 @@ let queue_processing t ~src ~dst ~tag ~payload =
   Sim.schedule_message t.sim ~time:finish ~src ~dst ~tag ~payload
 
 let handle t ~src ~dst ~tag ~payload =
-  if tag >= tag_int_arrival then begin
-    if tag = tag_int_arrival && t.processing_delay > 0.0 then
-      queue_processing t ~src ~dst ~tag:tag_int_deliver ~payload
-    else deliver_int t ~src ~dst payload
-  end
-  else if tag = tag_arrival && t.processing_delay > 0.0 then
+  if tag = tag_arrival && t.processing_delay > 0.0 then
     queue_processing t ~src ~dst ~tag:tag_deliver ~payload
   else deliver t ~src ~dst payload
 
@@ -320,9 +291,7 @@ let make ~sim ~graph ~csr ?latency ?(loss_rate = 0.0)
       failed_count = 0;
       tracing = trace <> None;
       receiver = (fun ~dst:_ ~src:_ _ -> ());
-      int_receiver = (fun ~dst:_ ~src:_ _ -> ());
       slots = [||];
-      slot_seq = [||];
       slot_nchunks = 0;
       slot_free = [||];
       slot_free_top = 0;
@@ -373,12 +342,6 @@ let sim t = t.sim
 let obs t = t.obs
 
 let set_receiver t f = t.receiver <- f
-
-(* installing on both planes keeps delivery uniform whether a given
-   message rode the int plane or (tracing) fell back to the slot plane *)
-let set_int_receiver t f =
-  t.receiver <- f;
-  t.int_receiver <- f
 
 let link_key u v = (min u v, max u v)
 
@@ -484,12 +447,12 @@ let link_admit t ~band ~eidx ~now =
     depart
   end
 
-(* The edge and source-crash preconditions are the caller's; everything
-   after is the steady-state hot path — no closures, no tuples (the
-   failed-links probe is skipped while the table is empty), no
-   allocation once the slot and event pools are warm. [eidx] is the
-   directed edge's CSR slot, consulted only under a finite
-   [link_capacity]. *)
+(* The one send core. The edge and source-crash preconditions are the
+   caller's; everything after is the steady-state hot path — no
+   closures, no tuples (the failed-links probe is skipped while the
+   table is empty), no allocation once the event pool is warm (and,
+   when tracing, the slot store). [eidx] is the directed edge's CSR
+   slot, consulted only under a finite [link_capacity]. *)
 let unchecked_send t ~src ~dst ~eidx msg =
   let band = t.send_band in
   let seq = t.next_seq in
@@ -510,9 +473,10 @@ let unchecked_send t ~src ~dst ~eidx msg =
     Obs.Registry.incr t.m_dropped_random;
     emit t Trace.Dropped_random ~src ~dst ~seq
   end
-  else if t.cap_on then begin
-    let now = Sim.now t.sim in
-    let depart = link_admit t ~band ~eidx ~now in
+  else begin
+    (* admission (under a finite capacity) before the latency draw:
+       a drop-tailed message draws nothing *)
+    let depart = if t.cap_on then link_admit t ~band ~eidx ~now:(Sim.now t.sim) else 0.0 in
     if depart < 0.0 then begin
       t.dropped_queue <- t.dropped_queue + 1;
       if t.bands > 1 then t.b_dropped_queue.(band) <- t.b_dropped_queue.(band) + 1;
@@ -529,42 +493,37 @@ let unchecked_send t ~src ~dst ~eidx msg =
         end
       in
       if t.obs_on then Obs.Registry.observe t.h_latency delay;
-      let slot = alloc_slot t msg seq in
-      let payload = if t.bands > 1 then (band lsl band_shift) lor slot else slot in
-      Sim.schedule_message t.sim ~time:(depart +. delay) ~src ~dst ~tag:tag_arrival ~payload
+      let word = if t.tracing then alloc_slot t msg seq else msg in
+      let payload = if t.bands > 1 then (band lsl band_shift) lor word else word in
+      if t.cap_on then
+        Sim.schedule_message t.sim ~time:(depart +. delay) ~src ~dst ~tag:tag_arrival ~payload
+      else Sim.schedule_message_after t.sim ~delay ~src ~dst ~tag:tag_arrival ~payload
     end
-  end
-  else begin
-    let delay =
-      if t.unit_latency then 1.0
-      else begin
-        let d = t.latency t.rng ~src ~dst in
-        if d < 0.0 then invalid_arg "Network.send: latency model produced a negative delay";
-        d
-      end
-    in
-    if t.obs_on then Obs.Registry.observe t.h_latency delay;
-    let slot = alloc_slot t msg seq in
-    let payload = if t.bands > 1 then (band lsl band_shift) lor slot else slot in
-    Sim.schedule_message_after t.sim ~delay ~src ~dst ~tag:tag_arrival ~payload
   end
 
 let send t ~src ~dst msg =
   if not (Csr.mem_edge t.csr src dst) then invalid_arg "Network.send: no such edge";
   if t.crashed.(src) then invalid_arg "Network.send: source is crashed";
+  if msg < 0 then invalid_arg "Network.send: negative message";
   let eidx = if t.cap_on then Csr.edge_index t.csr src dst else -1 in
   unchecked_send t ~src ~dst ~eidx msg
 
-(* Non-optional variant: the flooding hot loop calls this once per
-   delivered message, and an optional [?except] would box a [Some] on
-   every call. Pass [-1] for no exclusion. *)
-let send_neighbors_except t ~src ~except msg =
+(* The tree-forwarding hot path: the packing already carries each
+   parent→child slot, so neither the membership check nor the
+   [edge_index] binary search of [send] is paid. *)
+let send_eidx t ~src ~dst ~eidx msg =
+  if Array.unsafe_get t.crashed src then invalid_arg "Network.send_eidx: source is crashed";
+  unchecked_send t ~src ~dst ~eidx msg
+
+(* [except] is mandatory: the flooding hot loop calls this once per
+   delivered message, and an optional argument would box a [Some] on
+   every call. *)
+let send_neighbors t ~src ~except msg =
   if src < 0 || src >= Csr.n t.csr then invalid_arg "Network.send_neighbors: vertex out of range";
   if Array.unsafe_get t.crashed src then invalid_arg "Network.send_neighbors: source is crashed";
   (* edges come from our own frozen CSR row, so the per-neighbour edge
-     membership check that [send] must do is free here *)
-  (* the loop index [i] is the directed edge's CSR slot — the per-link
-     queue key comes for free on the fan-out path *)
+     membership check that [send] must do is free here, and the loop
+     index [i] is the directed edge's CSR slot — the per-link queue key *)
   match Csr.storage t.csr with
   | Csr.Ints { offsets; neighbors } ->
       for i = offsets.(src) to offsets.(src + 1) - 1 do
@@ -577,86 +536,6 @@ let send_neighbors_except t ~src ~except msg =
         let dst = Bigarray.Array1.unsafe_get neighbors i in
         if dst <> except then unchecked_send t ~src ~dst ~eidx:i msg
       done
-
-let send_neighbors ?(except = -1) t ~src msg = send_neighbors_except t ~src ~except msg
-
-(* [unchecked_send] with the hop riding the event payload word: same
-   seq consumption, same counters, same drop decisions and RNG draws,
-   so stats agree with the slot plane message for message *)
-let unchecked_send_int t ~src ~dst ~eidx hop =
-  let band = t.send_band in
-  t.next_seq <- t.next_seq + 1;
-  t.sent <- t.sent + 1;
-  if t.bands > 1 then t.b_sent.(band) <- t.b_sent.(band) + 1;
-  if t.obs_on then Obs.Registry.incr t.m_sent;
-  if t.failed_count > 0 && link_failed t src dst then begin
-    t.dropped_link <- t.dropped_link + 1;
-    if t.bands > 1 then t.b_dropped_link.(band) <- t.b_dropped_link.(band) + 1;
-    Obs.Registry.incr t.m_dropped_link
-  end
-  else if t.loss_rate > 0.0 && Prng.float t.rng 1.0 < t.loss_rate then begin
-    t.dropped_random <- t.dropped_random + 1;
-    if t.bands > 1 then t.b_dropped_random.(band) <- t.b_dropped_random.(band) + 1;
-    Obs.Registry.incr t.m_dropped_random
-  end
-  else if t.cap_on then begin
-    let now = Sim.now t.sim in
-    let depart = link_admit t ~band ~eidx ~now in
-    if depart < 0.0 then begin
-      t.dropped_queue <- t.dropped_queue + 1;
-      if t.bands > 1 then t.b_dropped_queue.(band) <- t.b_dropped_queue.(band) + 1;
-      Obs.Registry.incr t.m_dropped_queue
-    end
-    else begin
-      let delay =
-        if t.unit_latency then 1.0
-        else begin
-          let d = t.latency t.rng ~src ~dst in
-          if d < 0.0 then invalid_arg "Network.send: latency model produced a negative delay";
-          d
-        end
-      in
-      if t.obs_on then Obs.Registry.observe t.h_latency delay;
-      let payload = if t.bands > 1 then (band lsl band_shift) lor hop else hop in
-      Sim.schedule_message t.sim ~time:(depart +. delay) ~src ~dst ~tag:tag_int_arrival ~payload
-    end
-  end
-  else begin
-    let delay =
-      if t.unit_latency then 1.0
-      else begin
-        let d = t.latency t.rng ~src ~dst in
-        if d < 0.0 then invalid_arg "Network.send: latency model produced a negative delay";
-        d
-      end
-    in
-    if t.obs_on then Obs.Registry.observe t.h_latency delay;
-    let payload = if t.bands > 1 then (band lsl band_shift) lor hop else hop in
-    Sim.schedule_message_after t.sim ~delay ~src ~dst ~tag:tag_int_arrival ~payload
-  end
-
-let send_neighbors_int t ~src ~except hop =
-  if t.tracing then
-    (* trace seqs live in the slot store; take the slow plane *)
-    send_neighbors_except t ~src ~except hop
-  else begin
-    if src < 0 || src >= Csr.n t.csr then
-      invalid_arg "Network.send_neighbors: vertex out of range";
-    if Array.unsafe_get t.crashed src then
-      invalid_arg "Network.send_neighbors: source is crashed";
-    match Csr.storage t.csr with
-    | Csr.Ints { offsets; neighbors } ->
-        for i = offsets.(src) to offsets.(src + 1) - 1 do
-          let dst = neighbors.(i) in
-          if dst <> except then unchecked_send_int t ~src ~dst ~eidx:i hop
-        done
-    | Csr.Big { offsets; neighbors } ->
-        for i = Bigarray.Array1.unsafe_get offsets src
-              to Bigarray.Array1.unsafe_get offsets (src + 1) - 1 do
-          let dst = Bigarray.Array1.unsafe_get neighbors i in
-          if dst <> except then unchecked_send_int t ~src ~dst ~eidx:i hop
-        done
-  end
 
 let stats t =
   {
@@ -712,16 +591,6 @@ let link_backlog_now t ~src ~dst =
     if eidx < 0 then invalid_arg "Network.link_backlog_now: no such edge";
     link_backlog t ~eidx ~now:(Sim.now t.sim)
   end
-
-(* Single-edge int-plane send with the caller-supplied CSR slot: the
-   tree-forwarding hot path, where the packing already carries each
-   parent→child slot so neither the membership check nor the
-   [edge_index] binary search of [send] is paid. Degrades to the slot
-   plane under tracing, exactly like [send_neighbors_int]. *)
-let send_int t ~src ~dst ~eidx hop =
-  if Array.unsafe_get t.crashed src then invalid_arg "Network.send_int: source is crashed";
-  if t.tracing then unchecked_send t ~src ~dst ~eidx hop
-  else unchecked_send_int t ~src ~dst ~eidx hop
 
 (* Would a send on this directed edge reach a live queue right now?
    Evaluated at send time, the same instant the network itself checks

@@ -134,7 +134,7 @@ let run_csr_env ~env ?plan ?reconfig ~csr ~(workload : Workload.t) () =
       done)
     sources;
   let sim = Env.sim_of env in
-  let net : int Network.t = Env.network_of_csr env ~sim ~csr in
+  let net = Env.network_of_csr env ~sim ~csr in
   (* Live-view state a reconfiguration timeline mutates mid-run.
      Without one, these stay all-true/zero and every code path below
      reduces to the static behaviour: same obligations, same packs. *)
@@ -145,8 +145,6 @@ let run_csr_env ~env ?plan ?reconfig ~csr ~(workload : Workload.t) () =
     active.(Csr.edge_index csr u v) <- b;
     active.(Csr.edge_index csr v u) <- b
   in
-  List.iter (fun v -> Network.crash net v) env.Env.crashed;
-  List.iter (fun (u, v) -> Network.fail_link net u v) env.Env.failed_links;
   (match reconfig with
   | Some rc ->
       Array.blit rc.Reconfig.member0 0 member 0 n;
@@ -162,7 +160,6 @@ let run_csr_env ~env ?plan ?reconfig ~csr ~(workload : Workload.t) () =
           set_active u v false)
         rc.Reconfig.absent0
   | None -> ());
-  (match env.Env.prepare with Some { Env.prepare } -> prepare net | None -> ());
   (match plan with Some p -> Chaos.Exec.install net p | None -> ());
   let obs = env.Env.obs in
   let obs_on = Obs.Registry.enabled obs in
@@ -220,9 +217,9 @@ let run_csr_env ~env ?plan ?reconfig ~csr ~(workload : Workload.t) () =
             if Bytes.unsafe_get seen idx = '\000' then begin
               Bytes.unsafe_set seen idx '\001';
               record chunk;
-              Network.send_neighbors_int net ~src:dst ~except:src chunk
+              Network.send_neighbors net ~src:dst ~except:src chunk
             end);
-        fun g src -> Network.send_neighbors_int net ~src ~except:(-1) g
+        fun g src -> Network.send_neighbors net ~src ~except:(-1) g
     | Workload.Trees ->
         (* chunk j of source i rides tree (j mod count) of source i's
            packing — round-robin striping, so each packed tree carries
@@ -313,11 +310,11 @@ let run_csr_env ~env ?plan ?reconfig ~csr ~(workload : Workload.t) () =
               if b land bit_delivered = 0 then begin
                 mark idx (bit_delivered lor bit_flooded) b;
                 record chunk;
-                Network.send_neighbors_int net ~src:dst ~except:src payload
+                Network.send_neighbors net ~src:dst ~except:src payload
               end
               else if b land bit_flooded = 0 then begin
                 mark idx bit_flooded b;
-                Network.send_neighbors_int net ~src:dst ~except:src payload
+                Network.send_neighbors net ~src:dst ~except:src payload
               end
             end
             else if b land bit_delivered = 0 then begin
@@ -343,8 +340,8 @@ let run_csr_env ~env ?plan ?reconfig ~csr ~(workload : Workload.t) () =
           end
     | Workload.Gossip ->
         (* push gossip at the snapshot's min-degree fanout with the
-           standard log2(n)+4 TTL: the randomized baseline, riding the
-           same int plane (payload = chunk * (ttl_limit+1) + ttl) *)
+           standard log2(n)+4 TTL: the randomized baseline, one int
+           word per copy (payload = chunk * (ttl_limit+1) + ttl) *)
         let lo, nbr =
           match Csr.storage csr with
           | Csr.Ints { offsets; neighbors } ->
@@ -372,7 +369,7 @@ let run_csr_env ~env ?plan ?reconfig ~csr ~(workload : Workload.t) () =
             List.iter
               (fun i ->
                 let e = lo v + i in
-                Network.send_int net ~src:v ~dst:(nbr e) ~eidx:e ((chunk * base) + ttl))
+                Network.send_eidx net ~src:v ~dst:(nbr e) ~eidx:e ((chunk * base) + ttl))
               chosen
           end
         in
@@ -406,11 +403,11 @@ let run_csr_env ~env ?plan ?reconfig ~csr ~(workload : Workload.t) () =
           Bytes.unsafe_set ctrl_seen idx '\001';
           let save = Network.send_band net in
           Network.set_send_band net 0;
-          Network.send_neighbors_int net ~src:node ~except (control_base + ep);
+          Network.send_neighbors net ~src:node ~except (control_base + ep);
           Network.set_send_band net save
         end
       in
-      Network.set_int_receiver net (fun ~dst ~src payload ->
+      Network.set_receiver net (fun ~dst ~src payload ->
           if payload >= control_base then relay dst src (payload - control_base)
           else !data_recv ~dst ~src payload);
       ctrl_emit :=
@@ -418,7 +415,7 @@ let run_csr_env ~env ?plan ?reconfig ~csr ~(workload : Workload.t) () =
           (match List.find_opt (fun s -> not (Network.is_crashed net s)) sources with
           | Some origin -> relay origin (-1) ep
           | None -> ())
-  | _ -> Network.set_int_receiver net !data_recv);
+  | _ -> Network.set_receiver net !data_recv);
   (match reconfig with
   | None -> ()
   | Some rc ->

@@ -1,8 +1,8 @@
 (** The sustained-traffic driver: multi-source chunk streams pushed
     through a (possibly capacity-limited) network.
 
-    Each chunk of a {!Workload} spreads from its source on the
-    network's int plane — the same zero-allocation fast path as
+    Each chunk of a {!Workload} spreads from its source as one int
+    message word — the same zero-allocation fast path as
     {!Flood.Flooding.run_csr_env} — with per-(chunk, node) first-
     delivery dedup, under the workload's {!Workload.dissemination}
     strategy: [Flood] re-sends on every edge, [Trees] stripes chunks

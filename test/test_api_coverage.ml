@@ -37,7 +37,7 @@ let test_apl_disconnected_none () =
 let test_network_accessors () =
   let sim = Sim.create () in
   let g = Generators.cycle 4 in
-  let net : unit Network.t = Network.create ~sim ~graph:g () in
+  let net : Network.t = Network.create ~sim ~graph:g () in
   check_int "graph accessor" 4 (Graph.n (Network.graph net));
   check_bool "sim accessor" true (Sim.now (Network.sim net) = 0.0)
 

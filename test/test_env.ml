@@ -132,7 +132,7 @@ let test_prepare_hook_runs () =
   (* a hook that crashes a node before the first send is equivalent to
      a static crash of the same node *)
   let g = graph () in
-  let hook = { Env.prepare = (fun net -> Network.crash net 4) } in
+  let hook net = Network.crash net 4 in
   let hooked =
     Flood.Flooding.run_env ~env:Env.(default |> with_seed 2 |> with_prepare hook) ~graph:g
       ~source:0 ()

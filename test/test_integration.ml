@@ -91,7 +91,7 @@ let test_traced_flood_accounts_for_every_message () =
         Graph.iter_neighbors g dst (fun w -> if w <> src then Netsim.Network.send net ~src:dst ~dst:w msg)
       end);
   informed.(0) <- true;
-  Graph.iter_neighbors g 0 (fun w -> Netsim.Network.send net ~src:0 ~dst:w ());
+  Graph.iter_neighbors g 0 (fun w -> Netsim.Network.send net ~src:0 ~dst:w 0);
   Netsim.Sim.run sim;
   let evs = Netsim.Trace.events trace in
   let count k = List.length (List.filter (fun e -> e.Netsim.Trace.kind = k) evs) in

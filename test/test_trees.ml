@@ -1,11 +1,12 @@
-(* Flood.Trees: single-chunk spanning-tree broadcast with flood
-   fallback.
+(* Flood.Trees: spanning-tree broadcast with flood fallback, driven as
+   one-chunk Traffic.Driver streams — the chunk rides tree 0 of its
+   source's packing.
 
-   The load-bearing properties, per ISSUE 8: a clean run costs exactly
-   n−1 messages and covers everything; with up to ⌊k/2⌋−1 failed links
-   the broadcast still reaches every alive node (escalating to flood
-   bursts where a tree edge died); and the payload encoding
-   round-trips. *)
+   The load-bearing properties: a clean run costs exactly n−1 messages
+   and covers everything; with up to ⌊k/2⌋−1 failed links the
+   broadcast still reaches every alive node (escalating to flood
+   bursts where a tree edge died); an off-tree failure costs nothing;
+   and the payload encoding round-trips. *)
 
 open Helpers
 module Csr = Graph_core.Csr
@@ -13,11 +14,21 @@ module Tree_pack = Graph_core.Tree_pack
 module Trees = Flood.Trees
 module Env = Flood.Env
 module R = Topo.Registry
+module Workload = Traffic.Workload
+module Driver = Traffic.Driver
 
 let csr_of ~kind ~n ~k ~seed =
   match R.build_csr_graph ~kind ~n ~k ~seed () with
   | Ok c -> c
   | Error e -> Alcotest.failf "%s(n=%d,k=%d): %s" kind n k e
+
+(* one chunk from [source], striped onto tree 0 of its packing *)
+let one_chunk ~env ~csr ~source =
+  let workload =
+    Workload.default |> Workload.with_dissemination Workload.Trees
+    |> Workload.with_sources [ source ] |> Workload.with_chunks_per_source 1
+  in
+  Driver.run_csr_env ~env ~csr ~workload ()
 
 let test_encoding () =
   List.iter
@@ -34,18 +45,12 @@ let test_clean_run_costs_n_minus_1 () =
   List.iter
     (fun (kind, n, k) ->
       let csr = csr_of ~kind ~n ~k ~seed:7 in
-      let pack = Tree_pack.pack csr ~source:0 in
-      for tree = 0 to Tree_pack.count pack - 1 do
-        let r = Trees.run_env ~env:(Env.make ~seed:3 ()) ~csr ~source:0 ~tree ~pack () in
-        let ctx = Printf.sprintf "%s tree %d" kind tree in
-        check_int (ctx ^ ": exactly n-1 messages") (n - 1) r.Trees.messages_sent;
-        check_int (ctx ^ ": no fallbacks") 0 r.Trees.fallbacks;
-        check_bool (ctx ^ ": full coverage") true (r.Trees.coverage_of_alive = 1.0);
-        check_bool (ctx ^ ": everyone delivered") true
-          (Array.for_all Fun.id r.Trees.delivered);
-        check_bool (ctx ^ ": completion bounded by depth") true
-          (r.Trees.completion_time > 0.0)
-      done)
+      let r = one_chunk ~env:(Env.make ~seed:3 ()) ~csr ~source:0 in
+      check_int (kind ^ ": exactly n-1 messages") (n - 1) r.Driver.wire_messages;
+      check_int (kind ^ ": no fallbacks") 0 r.Driver.tree_fallbacks;
+      check_bool (kind ^ ": full coverage") true (r.Driver.delivery_fraction = 1.0);
+      check_int (kind ^ ": everyone delivered") (n - 1) r.Driver.deliveries;
+      check_bool (kind ^ ": completion takes time") true (r.Driver.duration > 0.0))
     [ ("kdiamond", 66, 4); ("hypercube", 32, 5); ("harary", 40, 4) ]
 
 (* Any single failed link (⌊k/2⌋−1 = 1 for k in 4..5) leaves the
@@ -62,16 +67,15 @@ let prop_survives_link_failures =
       let csr = csr_of ~kind:"kdiamond" ~n ~k ~seed in
       let source = seed mod Csr.n csr in
       let pack = Tree_pack.pack csr ~source in
-      let tree = seed mod Tree_pack.count pack in
-      (* fail one edge of the tree actually in use *)
-      let edges = Tree_pack.edges pack ~tree in
+      (* fail one edge of the tree the chunk rides *)
+      let edges = Tree_pack.edges pack ~tree:0 in
       let u, v = List.nth edges (seed mod List.length edges) in
       let env = Env.make ~seed () |> Env.with_failed_links [ (u, v) ] in
-      let r = Trees.run_env ~env ~csr ~source ~tree ~pack () in
-      Array.for_all Fun.id r.Trees.delivered
-      && r.Trees.fallbacks > 0
-      && r.Trees.coverage_of_alive = 1.0
-      && r.Trees.messages_sent > Csr.n csr - 1)
+      let r = one_chunk ~env ~csr ~source in
+      r.Driver.all_covered
+      && r.Driver.deliveries = Csr.n csr - 1
+      && r.Driver.tree_fallbacks > 0
+      && r.Driver.wire_messages > Csr.n csr - 1)
 
 (* An off-tree failure must not disturb the tree at all. *)
 let prop_off_tree_failure_is_free =
@@ -90,38 +94,18 @@ let prop_off_tree_failure_is_free =
         (* an edge of tree 1 is never an edge of tree 0 *)
         let u, v = List.hd (Tree_pack.edges pack ~tree:1) in
         let env = Env.make ~seed () |> Env.with_failed_links [ (u, v) ] in
-        let r = Trees.run_env ~env ~csr ~source ~tree:0 ~pack () in
-        r.Trees.messages_sent = n - 1 && r.Trees.fallbacks = 0
-        && Array.for_all Fun.id r.Trees.delivered
+        let r = one_chunk ~env ~csr ~source in
+        r.Driver.wire_messages = n - 1 && r.Driver.tree_fallbacks = 0
+        && r.Driver.deliveries = n - 1
       end)
 
 let test_crashed_nodes_excluded () =
   let csr = csr_of ~kind:"kdiamond" ~n:66 ~k:4 ~seed:7 in
-  let pack = Tree_pack.pack csr ~source:0 in
   (* crash a leaf-ish node far from the source; coverage counts alive only *)
-  let victim = 65 in
-  let env = Env.make ~seed:3 () |> Env.with_crashed [ victim ] in
-  let r = Trees.run_env ~env ~csr ~source:0 ~pack () in
-  check_bool "victim not delivered" false r.Trees.delivered.(victim);
-  check_bool "alive coverage full" true (r.Trees.coverage_of_alive = 1.0)
-
-let test_invalid_inputs () =
-  let csr = csr_of ~kind:"kdiamond" ~n:22 ~k:3 ~seed:1 in
-  let env () = Env.make ~seed:1 () in
-  Alcotest.check_raises "source out of range"
-    (Invalid_argument "Trees.run: source out of range") (fun () ->
-      ignore (Trees.run_env ~env:(env ()) ~csr ~source:22 ()));
-  Alcotest.check_raises "crashed source"
-    (Invalid_argument "Trees.run: source is crashed") (fun () ->
-      ignore
-        (Trees.run_env ~env:(env () |> Env.with_crashed [ 0 ]) ~csr ~source:0 ()));
-  Alcotest.check_raises "tree out of range"
-    (Invalid_argument "Trees.run: tree out of range") (fun () ->
-      ignore (Trees.run_env ~env:(env ()) ~csr ~source:0 ~tree:9 ()));
-  let other = Tree_pack.pack csr ~source:3 in
-  Alcotest.check_raises "pack for another source"
-    (Invalid_argument "Trees.run: pack is for another source") (fun () ->
-      ignore (Trees.run_env ~env:(env ()) ~csr ~source:0 ~pack:other ()))
+  let env = Env.make ~seed:3 () |> Env.with_crashed [ 65 ] in
+  let r = one_chunk ~env ~csr ~source:0 in
+  check_int "victim not delivered" (66 - 2) r.Driver.deliveries;
+  check_bool "alive coverage full" true (r.Driver.delivery_fraction = 1.0 && r.Driver.all_covered)
 
 let suite =
   [
@@ -132,5 +116,4 @@ let suite =
     prop_off_tree_failure_is_free;
     Alcotest.test_case "crashed nodes excluded from coverage" `Quick
       test_crashed_nodes_excluded;
-    Alcotest.test_case "invalid inputs raise" `Quick test_invalid_inputs;
   ]
