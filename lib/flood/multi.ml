@@ -54,8 +54,10 @@ let run_env ~env ~graph ~publications () =
       end);
   Array.iteri
     (fun i (p : publication) ->
+      (* an origin a chaos plan has crashed by then never publishes *)
       Sim.schedule_at sim ~time:p.inject_time (fun () ->
-          if record i p.origin then forward p.origin ~except:(-1) i))
+          if (not (Network.is_crashed net p.origin)) && record i p.origin then
+            forward p.origin ~except:(-1) i))
     pubs;
   Sim.run sim;
   let alive = Network.alive_mask net in

@@ -33,6 +33,8 @@ val run_env :
     except [pool] is consumed; the [prepare] hook runs before the first
     injection. With an enabled [env.obs], publishes the
     [multi.completion] per-payload completion histogram and the
-    [multi.payloads] counter on top of the network-layer metrics.
+    [multi.payloads] counter on top of the network-layer metrics. A
+    publication whose origin a chaos plan has crashed at its injection
+    time is never sent (it reaches no one).
     @raise Invalid_argument on duplicate payload ids, crashed or
     out-of-range origins, or negative injection times. *)

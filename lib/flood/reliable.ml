@@ -111,8 +111,10 @@ let run_env ~env ~graph ~publications ~anti_entropy_period ~duration () =
   (* flooding phase: inject publications *)
   Array.iteri
     (fun i (p : Multi.publication) ->
+      (* an origin a chaos plan has crashed by then never publishes *)
       Sim.schedule_at sim ~time:p.Multi.inject_time (fun () ->
-          if record p.Multi.origin i then forward p.Multi.origin ~except:(-1) i))
+          if (not (Network.is_crashed net p.Multi.origin)) && record p.Multi.origin i then
+            forward p.Multi.origin ~except:(-1) i))
     pubs;
   (* anti-entropy timers, phase-shifted per node *)
   let digest_of v = Hashtbl.fold (fun id _ acc -> id :: acc) has.(v) [] in

@@ -47,4 +47,5 @@ val run_env :
     the protocol whose anti-entropy actually repairs chaos-plan
     recoveries, but a node crashed by a plan mid-run keeps its
     obligations (the run then reports [complete = false] unless repair
-    reaches it after recovery). *)
+    reaches it after recovery). As in {!Multi.run_env}, a publication
+    whose origin is crashed at its injection time is never sent. *)

@@ -11,6 +11,10 @@
    unowned edge into some forest, cascading swaps along a shortest
    alternating path), which reaches the Nash-Williams/Tutte optimum —
    so whenever ⌊k/2⌋ disjoint spanning trees exist, they are found.
+   Most augmentations need no swap; [complete] claims those in
+   union-find sweeps, in the order the search would, and runs the
+   search only for the rest: the packs are the ones the search alone
+   builds, at a fraction of its cost.
 
    Packing can be masked: an optional membership mask restricts the
    span to a vertex subset and an optional usability predicate vetoes
@@ -94,13 +98,12 @@ let row_accessors csr =
    setup of [pack] and [patch] *)
 let edge_arrays csr =
   let m = Csr.m csr in
-  let eu = Array.make (max 1 m) 0 and ev = Array.make (max 1 m) 0 in
+  let eu = Array.make m 0 and ev = Array.make m 0 in
   let i = ref 0 in
   Csr.iter_edges csr (fun u v ->
       eu.(!i) <- u;
       ev.(!i) <- v;
       incr i);
-  let eu = Array.sub eu 0 m and ev = Array.sub ev 0 m in
   let und_of_slot = Array.make (Csr.degree_sum csr) 0 in
   for e = 0 to m - 1 do
     und_of_slot.(Csr.edge_index csr eu.(e) ev.(e)) <- e;
@@ -250,104 +253,124 @@ let orient csr ~source ~count ~members ~owner ~eu ~ev =
    Reaches the Nash-Williams/Tutte optimum from any forest-valid seed;
    [false] means [count] disjoint spanning trees do not exist. Scan
    orders are fixed (edges ascending, trees ascending), so the result
-   is deterministic in the seed assignment. *)
-let complete csr ~count ~eu ~ev ~owner ~owned ~target =
+   is deterministic in the seed assignment.
+
+   Most augmentations need no swap: an unowned edge already joins two
+   components of some forest. The exchange search seeds its queue with
+   every unowned edge in ascending order, so whenever such an edge
+   exists the search claims the lowest one, for the lowest such
+   forest. Claiming it only merges two components, and a merge never
+   separates the endpoints of an edge already passed over, so no
+   earlier edge becomes claimable. One ascending union-find sweep over
+   the current component labels therefore claims exactly the edges, in
+   exactly the order and for exactly the forests, that a run of
+   zero-swap searches would, with one forest relabelling instead of
+   one per claim. The relabelling (Θ(count·n)) and the exchange search
+   run only when the sweep comes up empty and a swap path is needed. *)
+let complete csr ~count ~eu ~ev ~und_of_slot ~owner ~owned ~target =
   let n = Csr.n csr in
   let m = Array.length eu in
   let queue = Array.make (max 1 n) 0 in
-  (* scratch for the per-augmentation forest structures *)
+  let lo, nbr = row_accessors csr in
+  (* a forest whose edge set moved since its last labelling *)
+  let stale = Array.make count true in
+  let set_owner e t =
+    let o = owner.(e) in
+    if o >= 0 then stale.(o) <- true;
+    owner.(e) <- t;
+    stale.(t) <- true
+  in
+  (* Per-forest labelling of the stale forests: BFS from each
+     component's lowest vertex gives component label, parent edge
+     (whose other endpoint is the parent) and depth. A CSR row lists a
+     vertex's edges in ascending edge id (edge ids number the [u < v]
+     pairs lexicographically), so scanning the row for the forest's
+     own edges needs no adjacency of its own. *)
   let comp = Array.make (count * n) (-1) in
-  let fparent = Array.make (count * n) (-1) in
   let fpedge = Array.make (count * n) (-1) in
   let fdepth = Array.make (count * n) 0 in
-  let adj_off = Array.make ((count * n) + 1) 0 in
-  let adj_v = Array.make (2 * max 1 target) 0 in
-  let adj_e = Array.make (2 * max 1 target) 0 in
-  let cursor = Array.make (count * n) 0 in
-  let rebuild_forests () =
-    Array.fill adj_off 0 (Array.length adj_off) 0;
-    for e = 0 to m - 1 do
-      let o = owner.(e) in
-      if o >= 0 then begin
-        let bu = (o * n) + eu.(e) and bv = (o * n) + ev.(e) in
-        adj_off.(bu + 1) <- adj_off.(bu + 1) + 1;
-        adj_off.(bv + 1) <- adj_off.(bv + 1) + 1
-      end
-    done;
-    for i = 1 to count * n do
-      adj_off.(i) <- adj_off.(i) + adj_off.(i - 1)
-    done;
-    Array.blit adj_off 0 cursor 0 (count * n);
-    for e = 0 to m - 1 do
-      let o = owner.(e) in
-      if o >= 0 then begin
-        let bu = (o * n) + eu.(e) and bv = (o * n) + ev.(e) in
-        adj_v.(cursor.(bu)) <- ev.(e);
-        adj_e.(cursor.(bu)) <- e;
-        cursor.(bu) <- cursor.(bu) + 1;
-        adj_v.(cursor.(bv)) <- eu.(e);
-        adj_e.(cursor.(bv)) <- e;
-        cursor.(bv) <- cursor.(bv) + 1
-      end
-    done;
-    Array.fill comp 0 (count * n) (-1);
+  let relabel () =
     for t = 0 to count - 1 do
-      let base = t * n in
-      for root = 0 to n - 1 do
-        if comp.(base + root) < 0 then begin
-          comp.(base + root) <- root;
-          fparent.(base + root) <- -1;
-          fpedge.(base + root) <- -1;
-          fdepth.(base + root) <- 0;
-          let head = ref 0 and tail = ref 0 in
-          queue.(!tail) <- root;
-          incr tail;
-          while !head < !tail do
-            let u = queue.(!head) in
-            incr head;
-            for i = adj_off.(base + u) to adj_off.(base + u + 1) - 1 do
-              let v = adj_v.(i) in
-              if comp.(base + v) < 0 then begin
-                comp.(base + v) <- root;
-                fparent.(base + v) <- u;
-                fpedge.(base + v) <- adj_e.(i);
-                fdepth.(base + v) <- fdepth.(base + u) + 1;
-                queue.(!tail) <- v;
-                incr tail
-              end
+      if stale.(t) then begin
+        stale.(t) <- false;
+        let base = t * n in
+        Array.fill comp base n (-1);
+        for root = 0 to n - 1 do
+          if comp.(base + root) < 0 then begin
+            comp.(base + root) <- root;
+            fpedge.(base + root) <- -1;
+            fdepth.(base + root) <- 0;
+            let head = ref 0 and tail = ref 0 in
+            queue.(!tail) <- root;
+            incr tail;
+            while !head < !tail do
+              let u = queue.(!head) in
+              incr head;
+              for i = lo u to lo (u + 1) - 1 do
+                let e = und_of_slot.(i) in
+                if owner.(e) = t then begin
+                  let v = nbr i in
+                  if comp.(base + v) < 0 then begin
+                    comp.(base + v) <- root;
+                    fpedge.(base + v) <- e;
+                    fdepth.(base + v) <- fdepth.(base + u) + 1;
+                    queue.(!tail) <- v;
+                    incr tail
+                  end
+                end
+              done
             done
-          done
-        end
-      done
-    done
-  in
-  (* visit every forest-[t] edge on the path between u and v (both in
-     the same component, so the tree path exists) *)
-  let path_edges t u v f =
-    let base = t * n in
-    let a = ref u and b = ref v in
-    while !a <> !b do
-      if fdepth.(base + !a) >= fdepth.(base + !b) then begin
-        f fpedge.(base + !a);
-        a := fparent.(base + !a)
-      end
-      else begin
-        f fpedge.(base + !b);
-        b := fparent.(base + !b)
+          end
+        done
       end
     done
   in
-  let pred = Array.make (max 1 m) (-1) in
-  let seen = Array.make (max 1 m) false in
-  let equeue = Array.make (max 1 m) 0 in
   let owned = ref owned in
+  (* Zero-swap sweep. The labels double as a union-find: a fresh label
+     points at its component's root, which points at itself. A union
+     only happens in a forest that claims an edge, and that forest is
+     then stale and relabelled before the exchange search reads it. *)
+  let rec find base x =
+    let p = comp.(base + x) in
+    if p = x then x
+    else begin
+      let g = comp.(base + p) in
+      comp.(base + x) <- g;
+      if g = p then p else find base g
+    end
+  in
+  let sweep () =
+    let e = ref 0 in
+    while !owned < target && !e < m do
+      if owner.(!e) = -1 then begin
+        let u = eu.(!e) and v = ev.(!e) in
+        let t = ref 0 in
+        while !t < count do
+          let base = !t * n in
+          let ru = find base u and rv = find base v in
+          if ru <> rv then begin
+            comp.(base + ru) <- rv;
+            set_owner !e !t;
+            incr owned;
+            t := count
+          end
+          else incr t
+        done
+      end;
+      incr e
+    done
+  in
+  (* [pred]: −2 unseen, −1 a seed (an unowned edge), else the edge
+     whose forest path reached this one *)
+  let pred = Array.make (max 1 m) (-2) in
+  let equeue = Array.make (max 1 m) 0 in
+  (* shortest augmenting path over fresh forests; the walk along each
+     forest path is inlined so the search allocates nothing *)
   let augment () =
-    rebuild_forests ();
-    Array.fill seen 0 m false;
+    Array.fill pred 0 m (-2);
     let head = ref 0 and tail = ref 0 in
     for e = 0 to m - 1 do
       if owner.(e) = -1 then begin
-        seen.(e) <- true;
         pred.(e) <- -1;
         equeue.(!tail) <- e;
         incr tail
@@ -362,18 +385,35 @@ let complete csr ~count ~eu ~ev ~owner ~owned ~target =
       while !t < count && !goal < 0 do
         let i = !t in
         if i <> owner.(e) then begin
-          if comp.((i * n) + u) <> comp.((i * n) + v) then begin
+          let base = i * n in
+          if comp.(base + u) <> comp.(base + v) then begin
             goal := e;
             goal_tree := i
           end
-          else
-            path_edges i u v (fun f ->
-                if not seen.(f) then begin
-                  seen.(f) <- true;
-                  pred.(f) <- e;
-                  equeue.(!tail) <- f;
-                  incr tail
-                end)
+          else begin
+            (* every forest-[i] edge on the path between u and v, each
+               step up the parent edge to its other endpoint *)
+            let a = ref u and b = ref v in
+            while !a <> !b do
+              let f =
+                if fdepth.(base + !a) >= fdepth.(base + !b) then begin
+                  let f = fpedge.(base + !a) in
+                  a := eu.(f) + ev.(f) - !a;
+                  f
+                end
+                else begin
+                  let f = fpedge.(base + !b) in
+                  b := eu.(f) + ev.(f) - !b;
+                  f
+                end
+              in
+              if pred.(f) = -2 then begin
+                pred.(f) <- e;
+                equeue.(!tail) <- f;
+                incr tail
+              end
+            done
+          end
         end;
         incr t
       done
@@ -385,7 +425,7 @@ let complete csr ~count ~eu ~ev ~owner ~owned ~target =
       let continue = ref true in
       while !continue do
         let old = owner.(!cur) in
-        owner.(!cur) <- !give;
+        set_owner !cur !give;
         if old < 0 then continue := false
         else begin
           give := old;
@@ -398,7 +438,12 @@ let complete csr ~count ~eu ~ev ~owner ~owned ~target =
   in
   let feasible = ref true in
   while !feasible && !owned < target do
-    if not (augment ()) then feasible := false
+    relabel ();
+    sweep ();
+    if !owned < target then begin
+      relabel ();
+      feasible := augment ()
+    end
   done;
   !feasible
 
@@ -493,7 +538,7 @@ let attempt csr ~source ~count ~eu ~ev ~und_of_slot ~allowed ~members =
     done
   done;
   (* phase 2: matroid-union augmentation until every forest spans *)
-  if not (complete csr ~count ~eu ~ev ~owner ~owned:!owned ~target) then None
+  if not (complete csr ~count ~eu ~ev ~und_of_slot ~owner ~owned:!owned ~target) then None
   else orient csr ~source ~count ~members ~owner ~eu ~ev
 
 let members_of ~n ~member =
@@ -734,7 +779,7 @@ let patch t csr ?member ?usable () =
       done;
       if
         !owned < target
-        && not (complete csr ~count:t.count ~eu ~ev ~owner ~owned:!owned ~target)
+        && not (complete csr ~count:t.count ~eu ~ev ~und_of_slot ~owner ~owned:!owned ~target)
       then None
       else orient csr ~source:t.source ~count:t.count ~members ~owner ~eu ~ev
     end

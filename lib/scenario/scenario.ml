@@ -112,6 +112,19 @@ let family_of_topology = function
   | "harary" -> Some Overlay.Membership.Harary_classic
   | _ -> None
 
+(* the comparisons are written so that NaN fails them *)
+let validate_traffic tr ~n =
+  let ( let* ) = Result.bind in
+  let* () =
+    if tr.bands >= 1 && tr.bands <= 4 then Ok () else Error "--bands must be between 1 and 4"
+  in
+  let* () =
+    if tr.min_delivery >= 0.0 && tr.min_delivery <= 1.0 then Ok ()
+    else Error "--min-delivery must be between 0 and 1"
+  in
+  let* () = if tr.max_p95 >= 0.0 then Ok () else Error "--max-p95 must be >= 0" in
+  Workload.validate tr.workload ~n
+
 let validate t =
   let ( let* ) = Result.bind in
   let* _ = Spec.validate t.spec in
@@ -121,16 +134,12 @@ let validate t =
     | None -> Error "scenario supports kinds ktree, kdiamond, jd, harary"
   in
   let* () =
-    if t.traffic.bands >= 1 && t.traffic.bands <= 4 then Ok ()
-    else Error "--bands must be between 1 and 4"
-  in
-  let* () =
     if t.epoch_interval > 0.0 && Float.is_finite t.epoch_interval then Ok ()
     else Error "--epoch-interval must be a positive finite time"
   in
   let* () = if t.controller.batch >= 1 then Ok () else Error "--batch must be >= 1" in
   let* () = if t.controller.steps >= 0 then Ok () else Error "--steps must be >= 0" in
-  Workload.validate t.traffic.workload ~n:t.spec.Spec.n
+  validate_traffic t.traffic ~n:t.spec.Spec.n
 
 (* Lower committed controller epochs onto a traffic timeline: the union
    graph is every edge any epoch ever had (the one frozen CSR the

@@ -84,11 +84,16 @@ val family_of_topology : string -> Overlay.Membership.family option
 (** The controller family behind a registry kind, for the kinds that
     have one (ktree, kdiamond, jd, harary). *)
 
+val validate_traffic : traffic -> n:int -> (unit, string) result
+(** The traffic flag group's gate, shared by the [traffic] and
+    [scenario] subcommands: bands in 1–4, [min_delivery] in \[0, 1\],
+    [max_p95] ≥ 0 (NaN fails both), workload valid for [n]. *)
+
 val validate : t -> (unit, string) result
 (** The single validation gate: spec runnable ({!Spec.validate}),
-    topology reconfigurable, bands in 1–4, positive epoch interval,
-    sane batch/steps, workload valid for the spec's n. Error strings
-    match the CLI's established wording. *)
+    topology reconfigurable, positive epoch interval, sane
+    batch/steps, then {!validate_traffic} for the spec's n. Error
+    strings match the CLI's established wording. *)
 
 val lower :
   epoch_interval:float ->

@@ -60,6 +60,28 @@ let test_crashed_origin_rejected () =
   Alcotest.check_raises "crashed origin" (Invalid_argument "Multi.run: origin is crashed")
     (fun () -> ignore (Multi.run_env ~env:(Flood.Env.make ~crashed:[ 1 ] ()) ~graph:g ~publications:[ pub 1 7 ] ()))
 
+(* a chaos plan that crashes an origin before its injection time: the
+   publication is lost, the others still flood, and Reliable agrees *)
+let test_origin_crashed_mid_run () =
+  let g = Generators.cycle 8 in
+  let plan =
+    Chaos.Plan.make
+      [
+        { Chaos.Plan.at = 1.5; event = Chaos.Plan.Crash 4 };
+        { Chaos.Plan.at = 5.0; event = Chaos.Plan.Recover 4 };
+      ]
+  in
+  let env = Flood.Env.(default |> with_prepare (Chaos.Exec.prepare_hook plan)) in
+  let pubs = [ pub ~t:0.0 0 1; pub ~t:2.5 4 2 ] in
+  let m = Multi.run_env ~env ~graph:g ~publications:pubs () in
+  (match m.Multi.per_message with
+  | [ a; b ] ->
+      check_bool "first still floods" true (a.Multi.delivered_count > 0);
+      check_int "crashed origin never publishes" 0 b.Multi.delivered_count
+  | _ -> Alcotest.fail "two stats");
+  ignore
+    (Flood.Reliable.run_env ~env ~graph:g ~publications:pubs ~anti_entropy_period:2.0 ~duration:20.0 ())
+
 let test_many_publications_on_lhg () =
   let b = Lhg_core.Build.kdiamond_exn ~n:26 ~k:4 in
   let g = b.Lhg_core.Build.graph in
@@ -75,5 +97,6 @@ let suite =
     Alcotest.test_case "crashes affect all" `Quick test_crashes_affect_all_payloads;
     Alcotest.test_case "duplicate ids rejected" `Quick test_duplicate_ids_rejected;
     Alcotest.test_case "crashed origin rejected" `Quick test_crashed_origin_rejected;
+    Alcotest.test_case "origin crashed mid-run never publishes" `Quick test_origin_crashed_mid_run;
     Alcotest.test_case "many publications on LHG" `Quick test_many_publications_on_lhg;
   ]

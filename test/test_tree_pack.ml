@@ -193,65 +193,170 @@ let masked_pack_ok csr p ~member ~usable =
   done;
   !ok
 
-(* Incremental re-stripe under random epoch-shaped diffs (a few
-   leavers, a few dead links): a successful patch is structurally a
-   masked pack at the original count — spanning the survivors,
-   edge-disjoint, deterministic — and agrees with a fresh masked pack
-   on feasibility and tree count; a [None] means the count genuinely
-   became infeasible (the fresh pack backs off or the subgraph is
-   disconnected). *)
+(* Incremental re-stripe under a random epoch-shaped diff (a few
+   leavers, a few dead links) against a fresh pack of kdiamond(n, k):
+   a successful patch is structurally a masked pack at the original
+   count — spanning the survivors, edge-disjoint, deterministic — and
+   agrees with a fresh masked pack on feasibility and tree count; a
+   [None] means the count genuinely became infeasible (the fresh pack
+   backs off or the subgraph is disconnected). *)
+let patch_tracks_fresh ~k ~n_of seed =
+  let module Prng = Graph_core.Prng in
+  let rngv = Prng.create ~seed in
+  let n = n_of rngv in
+  let csr = csr_of ~kind:"kdiamond" ~n ~k ~seed:(seed land 0xFFF) in
+  let source = Prng.int rngv n in
+  let base = Tree_pack.pack csr ~source in
+  let member = Array.make n true in
+  let leavers = Prng.int rngv 3 in
+  let placed = ref 0 and tries = ref 0 in
+  while !placed < leavers && !tries < 100 do
+    incr tries;
+    let v = Prng.int rngv n in
+    if v <> source && member.(v) then begin
+      member.(v) <- false;
+      incr placed
+    end
+  done;
+  let edges = ref [] in
+  Csr.iter_edges csr (fun u v -> edges := (u, v) :: !edges);
+  let edges = Array.of_list !edges in
+  let dead = Hashtbl.create 8 in
+  for _ = 1 to Prng.int rngv 3 do
+    let u, v = edges.(Prng.int rngv (Array.length edges)) in
+    Hashtbl.replace dead (Csr.edge_index csr u v) ();
+    Hashtbl.replace dead (Csr.edge_index csr v u) ()
+  done;
+  let usable e = not (Hashtbl.mem dead e) in
+  let members = Array.fold_left (fun a b -> if b then a + 1 else a) 0 member in
+  match Tree_pack.patch base csr ~member ~usable () with
+  | None -> (
+      match Tree_pack.pack ~member ~usable csr ~source with
+      | fresh -> Tree_pack.count fresh < Tree_pack.count base
+      | exception Invalid_argument _ -> true)
+  | Some p ->
+      let again =
+        match Tree_pack.patch base csr ~member ~usable () with
+        | Some q -> q
+        | None -> Alcotest.fail "patch not deterministic: second run refused"
+      in
+      let fresh = Tree_pack.pack ~count:(Tree_pack.count base) ~member ~usable csr ~source in
+      Tree_pack.count p = Tree_pack.count base
+      && Tree_pack.count fresh = Tree_pack.count p
+      && Tree_pack.members p = members
+      && masked_pack_ok csr p ~member ~usable
+      && List.for_all
+           (fun t -> Tree_pack.edges p ~tree:t = Tree_pack.edges again ~tree:t)
+           (List.init (Tree_pack.count p) Fun.id)
+
 let prop_patch_valid_and_tracks_fresh =
   qcheck ~count:30 "patch: spanning + edge-disjoint + tracks fresh masked pack"
     QCheck2.Gen.(int_bound 100_000)
+    (patch_tracks_fresh ~k:4 ~n_of:(fun r -> (2 * 4) + 6 + Graph_core.Prng.int r 40))
+
+(* The same property where the overlays live: n in [600, 1100], k 4 or
+   5 (k = 4 leaves few spare edges, so many of its diffs refuse; the
+   k = 5 ones mostly succeed). *)
+let prop_patch_realistic_size =
+  qcheck ~count:5 "patch at n in [600, 1100]: tracks fresh masked pack"
+    QCheck2.Gen.(int_bound 100_000)
     (fun seed ->
-      let rngv = Graph_core.Prng.create ~seed in
-      let module Prng = Graph_core.Prng in
-      let k = 4 in
-      let n = (2 * k) + 6 + Prng.int rngv 40 in
-      let csr = csr_of ~kind:"kdiamond" ~n ~k ~seed:(seed land 0xFFF) in
-      let source = Prng.int rngv n in
-      let base = Tree_pack.pack csr ~source in
-      let member = Array.make n true in
-      let leavers = Prng.int rngv 3 in
-      let placed = ref 0 and tries = ref 0 in
-      while !placed < leavers && !tries < 100 do
-        incr tries;
-        let v = Prng.int rngv n in
-        if v <> source && member.(v) then begin
-          member.(v) <- false;
-          incr placed
-        end
-      done;
-      let edges = ref [] in
-      Csr.iter_edges csr (fun u v -> edges := (u, v) :: !edges);
-      let edges = Array.of_list !edges in
-      let dead = Hashtbl.create 8 in
-      for _ = 1 to Prng.int rngv 3 do
-        let u, v = edges.(Prng.int rngv (Array.length edges)) in
-        Hashtbl.replace dead (Csr.edge_index csr u v) ();
-        Hashtbl.replace dead (Csr.edge_index csr v u) ()
-      done;
-      let usable e = not (Hashtbl.mem dead e) in
-      let members = Array.fold_left (fun a b -> if b then a + 1 else a) 0 member in
-      match Tree_pack.patch base csr ~member ~usable () with
-      | None -> (
-          match Tree_pack.pack ~member ~usable csr ~source with
-          | fresh -> Tree_pack.count fresh < Tree_pack.count base
-          | exception Invalid_argument _ -> true)
-      | Some p ->
-          let again =
-            match Tree_pack.patch base csr ~member ~usable () with
-            | Some q -> q
-            | None -> Alcotest.fail "patch not deterministic: second run refused"
-          in
-          let fresh = Tree_pack.pack ~count:(Tree_pack.count base) ~member ~usable csr ~source in
-          Tree_pack.count p = Tree_pack.count base
-          && Tree_pack.count fresh = Tree_pack.count p
-          && Tree_pack.members p = members
-          && masked_pack_ok csr p ~member ~usable
-          && List.for_all
-               (fun t -> Tree_pack.edges p ~tree:t = Tree_pack.edges again ~tree:t)
-               (List.init (Tree_pack.count p) Fun.id))
+      patch_tracks_fresh ~k:(4 + (seed mod 2))
+        ~n_of:(fun r -> 600 + Graph_core.Prng.int r 501)
+        seed)
+
+(* Golden digests. Phase 2 of the packer (the matroid-union
+   completion behind both [pack] and [patch]) is tuned for speed, but
+   its output is pinned: every tree's parent, depth, child and eidx
+   arrays, hashed in full with [Digest] ([Hashtbl.hash] would only
+   see a bounded prefix). The values come from the plain completion
+   that rebuilds its forests and searches once per augmentation, so
+   any drift in the packs — and with them in tree-stream delays —
+   fails here. *)
+let pack_digest p =
+  let b = Buffer.create 4096 in
+  let add i =
+    Buffer.add_string b (string_of_int i);
+    Buffer.add_char b ','
+  in
+  add (Tree_pack.count p);
+  add (Tree_pack.members p);
+  for t = 0 to Tree_pack.count p - 1 do
+    for v = 0 to Tree_pack.n p - 1 do
+      add (Tree_pack.parent p ~tree:t v);
+      add (Tree_pack.depth p ~tree:t v)
+    done;
+    for v = 0 to Tree_pack.n p - 1 do
+      Tree_pack.iter_children p ~tree:t ~node:v (fun ~child ~eidx ->
+          add child;
+          add eidx)
+    done
+  done;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let check_digest ctx want p = Alcotest.(check string) (ctx ^ " digest") want (pack_digest p)
+
+(* vertex [v]'s [i]-th neighbour (ascending), as a directed-slot pair *)
+let kill_link dead csr v i =
+  let w = List.nth (Csr.neighbors csr v) i in
+  Hashtbl.replace dead (Csr.edge_index csr v w) ();
+  Hashtbl.replace dead (Csr.edge_index csr w v) ()
+
+let test_golden_packs () =
+  let csr = csr_of ~kind:"kdiamond" ~n:1026 ~k:4 ~seed:7 in
+  List.iter
+    (fun (source, want) ->
+      check_digest (Printf.sprintf "kdiamond(1026,4) src=%d" source) want
+        (Tree_pack.pack csr ~source))
+    [
+      (0, "a18b0e07730ae7656169f32c54936d51");
+      (256, "21a92c8795cd9cf40d66025f46ee1c0e");
+      (513, "0154e4712e55894b1517f6e30ef5fb44");
+      (769, "1e253bb683ced01d67a6ba91813c5a16");
+    ];
+  let cube = csr_of ~kind:"hypercube" ~n:1024 ~k:10 ~seed:7 in
+  let p = Tree_pack.pack cube ~source:0 in
+  check_int "hypercube(1024,10) tree count" 5 (Tree_pack.count p);
+  check_digest "hypercube(1024,10) src=0" "e5548a522a239d9fbad9e09b0087b955" p;
+  (* masked: vertex 10 keeps one usable edge, so two trees are
+     infeasible and the pack backs off to one *)
+  let dead = Hashtbl.create 8 in
+  List.iter (kill_link dead csr 10) [ 0; 1; 2 ];
+  let usable e = not (Hashtbl.mem dead e) in
+  let member = Array.make 1026 true in
+  member.(500) <- false;
+  let p = Tree_pack.pack ~member ~usable csr ~source:0 in
+  check_int "masked pack backs off" 1 (Tree_pack.count p);
+  check_bool "masked pack valid" true (masked_pack_ok csr p ~member ~usable);
+  check_digest "masked backoff" "59483f173c2823c428e7bfc1a7e26d3d" p
+
+let test_golden_patches () =
+  (* both patches strand components greedy cannot reattach, so they
+     finish through the augmenting completion *)
+  let patched ~k ~source ~leavers ~links want =
+    let csr = csr_of ~kind:"kdiamond" ~n:1026 ~k ~seed:7 in
+    let base = Tree_pack.pack csr ~source in
+    let member = Array.make 1026 true in
+    List.iter (fun v -> member.(v) <- false) leavers;
+    let dead = Hashtbl.create 8 in
+    List.iter (fun (v, i) -> kill_link dead csr v i) links;
+    let usable e = not (Hashtbl.mem dead e) in
+    let ctx = Printf.sprintf "patch kdiamond(1026,%d) src=%d" k source in
+    match Tree_pack.patch base csr ~member ~usable () with
+    | None -> Alcotest.failf "%s refused" ctx
+    | Some p ->
+        check_bool (ctx ^ " valid") true (masked_pack_ok csr p ~member ~usable);
+        check_digest ctx want p
+  in
+  patched ~k:4 ~source:256 ~leavers:[ 400 ] ~links:[] "33d272bea6224fd77c8691eb16054791";
+  patched ~k:5 ~source:0 ~leavers:[ 5; 700 ] ~links:[ (33, 1); (900, 0) ]
+    "d7d118e708e43240850a5fb266278fd8"
+
+let test_pack_n4098 () =
+  let csr = csr_of ~kind:"kdiamond" ~n:4098 ~k:4 ~seed:7 in
+  let p = Tree_pack.pack csr ~source:0 in
+  check_int "kdiamond(4098,4) tree count" 2 (Tree_pack.count p);
+  check_pack ~ctx:"kdiamond(4098,4)" csr p
 
 let test_patch_noop_and_errors () =
   let csr = csr_of ~kind:"kdiamond" ~n:40 ~k:4 ~seed:3 in
@@ -294,6 +399,10 @@ let suite =
     Alcotest.test_case "invalid inputs raise" `Quick test_invalid_inputs;
     Alcotest.test_case "pack_all: pool-invariant" `Quick test_pack_all_matches_pack;
     prop_patch_valid_and_tracks_fresh;
+    prop_patch_realistic_size;
+    Alcotest.test_case "golden digests: pack at n ~ 1k" `Quick test_golden_packs;
+    Alcotest.test_case "golden digests: patch at n = 1026" `Quick test_golden_patches;
+    Alcotest.test_case "pack at n = 4098: spanning + disjoint" `Quick test_pack_n4098;
     Alcotest.test_case "patch: no-op + errors" `Quick test_patch_noop_and_errors;
     Alcotest.test_case "cache reuse + reset" `Quick test_cache_reuse;
   ]
